@@ -42,6 +42,11 @@ race:
 	# surface (see the internal/plp package comment for the consistency
 	# argument) and the engine hands the PLP scratch across phases.
 	$(GO) test -race -count=2 ./internal/plp/...
+	# The worklist matching takes no lock: proposals raise per-vertex
+	# candidate words by CAS and the claim phase relies on single-writer
+	# match entries (see the Worklist doc in internal/matching), so it
+	# races at elevated count too.
+	$(GO) test -race -count=2 ./internal/matching/...
 	$(GO) test -race -run 'Engine|Ensemble' ./internal/core/...
 	# The dynamic store's shared mutable surface: overlay readers racing a
 	# concurrent mutator (plus the lazy CSR-mirror rebuild they can trigger),

@@ -225,15 +225,23 @@ func (g *Graph) WeightedDegreesInto(p int, buf []int64) []int64 {
 			d[x] = 2 * g.Self[x]
 		}
 	})
-	// Each stored edge contributes to both endpoints. The U side is owned by
-	// the bucket being scanned so a plain add suffices; the V side may live
-	// anywhere, so it takes an atomic add (the paper's fetch-and-add).
+	// Each stored edge contributes to both endpoints. The V side may live
+	// anywhere, so it takes an atomic add (the paper's fetch-and-add). The U
+	// side is always the bucket owner x, but x's own word also receives
+	// V-side adds from other buckets, so it cannot take a plain add: the
+	// bucket's sum is kept in a register and added atomically once per
+	// vertex instead of once per edge. Integer sums are exact, so the
+	// degrees do not depend on the order the adds land in.
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
+			var own int64
 			for e := g.Start[x]; e < g.End[x]; e++ {
 				w := g.W[e]
-				atomicAdd(&d[g.U[e]], w)
+				own += w
 				atomicAdd(&d[g.V[e]], w)
+			}
+			if own != 0 {
+				atomicAdd(&d[x], own)
 			}
 		}
 	})

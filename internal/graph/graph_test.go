@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +224,67 @@ func TestWeightedDegreesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Thread-count invariance on a hub-heavy graph, where many buckets add
+	// into the same hub's degree word at once: the degrees at every p must
+	// equal a plain serial sum exactly, also when written into a dirty
+	// reused buffer.
+	g := hubRMAT(t, 12, 3)
+	want := make([]int64, g.NumVertices())
+	for x := range want {
+		want[x] = 2 * g.Self[x]
+	}
+	g.ForEachEdge(func(_ int64, u, v, w int64) {
+		want[u] += w
+		want[v] += w
+	})
+	dirty := make([]int64, len(want))
+	for _, p := range []int{1, 2, 8} {
+		for i := range dirty {
+			dirty[i] = -7
+		}
+		for name, d := range map[string][]int64{
+			"fresh":  g.WeightedDegrees(p),
+			"reused": g.WeightedDegreesInto(p, dirty),
+		} {
+			for x := range want {
+				if d[x] != want[x] {
+					t.Fatalf("p=%d %s: d[%d] = %d, want %d", p, name, x, d[x], want[x])
+				}
+			}
+		}
+	}
+}
+
+// hubRMAT builds a 2^scale-vertex R-MAT graph with the paper's quadrant
+// probabilities (a=.55, b=c=.1, d=.25), 16 sampled edges per vertex and
+// weights 1–5. The skew piles a large share of the edges onto a few hubs.
+func hubRMAT(t *testing.T, scale int, seed uint64) *Graph {
+	t.Helper()
+	n := int64(1) << scale
+	rng := rand.New(rand.NewPCG(seed, 0))
+	edges := make([]Edge, 0, 16*n)
+	for i := int64(0); i < 16*n; i++ {
+		var u, v int64
+		for b := 0; b < scale; b++ {
+			switch r := rng.Float64(); {
+			case r < 0.55:
+			case r < 0.65:
+				v |= 1 << b
+			case r < 0.75:
+				u |= 1 << b
+			default:
+				u |= 1 << b
+				v |= 1 << b
+			}
+		}
+		edges = append(edges, Edge{U: u, V: v, W: rng.Int64N(5) + 1})
+	}
+	g, err := Build(2, n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestFromAdjacency(t *testing.T) {

@@ -9,10 +9,11 @@
 //
 //   - Worklist: the paper's improved algorithm. An explicit array of
 //     currently unmatched vertices is swept in parallel; each vertex scans
-//     its own edge bucket for its best unmatched neighbor, compares its
-//     choice against the other side's candidate under a total order, and
-//     claims both sides with per-vertex locks. Vertices whose claim fails
-//     but that still have an unmatched positive neighbor stay on the list.
+//     its own edge bucket and proposes every available edge to both
+//     endpoints by raising a per-vertex candidate word with a
+//     compare-and-swap, and a vertex is matched when its candidate is also
+//     the other side's. Vertices whose candidate is not mutual stay on the
+//     list. The kernel takes no lock.
 //
 //   - EdgeSweep: the 2011 algorithm kept as an ablation baseline. Every
 //     sweep runs over the whole edge array and funnels the per-vertex best
@@ -20,8 +21,13 @@
 //     tolerable with the Cray XMT's full/empty bits but crippled the
 //     OpenMP port.
 //
-// Both kernels are non-deterministic under parallel execution: different
-// runs may return different maximal matchings, exactly as the paper notes.
+// The paper notes its matching is non-deterministic in parallel: different
+// runs may return different maximal matchings. Here both kernels match only
+// mutually best edges under a strict total order, a set fixed by each
+// pass's starting state, so their results — Match, Passes, Drain — are
+// identical at every worker count and schedule. The worklist kernel
+// reaches that set without locks (see Worklist), so it is
+// schedule-independent by construction rather than by serializing claims.
 package matching
 
 import (
@@ -92,65 +98,126 @@ func (k edgeKey) less(o edgeKey) bool {
 }
 
 // Scratch holds the matching kernels' per-run state for reuse across engine
-// phases: the match array, the per-vertex candidate tables, the spinlock
-// array, and the worklist double-buffers with their pack workspace. A zero
-// Scratch is ready to use; grow reslices every buffer to the current vertex
-// count, allocating only when a graph larger than any seen before arrives —
-// after the first phase the steady-state loop allocates nothing here.
+// phases: the match array, the worklist kernel's candidate words and
+// worklist double-buffers with their pack workspace, and the edge-sweep
+// kernel's best-edge tables and spinlock array. A zero Scratch is ready to
+// use; each kernel reslices only the buffers it touches to the current
+// vertex count, allocating only when a graph larger than any seen before
+// arrives — after the first phase the steady-state loop allocates nothing
+// here.
 //
 // A Scratch must not be shared by concurrent matchings. When a kernel runs
 // with a Scratch, the returned Result.Match aliases scratch storage and is
 // only valid until the next use of the same Scratch.
 type Scratch struct {
-	match    []int64
-	candE    []int64
-	candKey  []edgeKey
-	candPass []int64
-	locks    *par.SpinLocks
-	list     []int64 // worklist double-buffer, ping
-	list2    []int64 // worklist double-buffer, pong
-	keep     []int64
-	slots    []int64
+	match []int64
+	// cand[x] is the worklist kernel's candidate word for vertex x: the
+	// pass stamp in the high bits, the best edge proposed to x this pass in
+	// the low candEdgeBits. Phase A raises it by CAS-max; phase B reads it.
+	// A word whose stamp is not the current pass's means "no candidate", so
+	// the table is cleared once per run, not once per pass.
+	cand  []atomic.Uint64
+	stamp uint64  // stamp of the current pass; 0 never marks a live word
+	list  []int64 // worklist double-buffer, ping
+	list2 []int64 // worklist double-buffer, pong
+	keep  []int64
+	slots []int64
 	// part is the per-pass degree-balanced schedule over the worklist:
 	// item i weighs deg(list[i])+1, so a pass hands every worker an equal
 	// share of bucket scanning instead of an equal share of vertices.
-	// Ranges are vertex-aligned — the claim phase keeps per-vertex
-	// candidate state, so a vertex must never split between workers.
+	// Ranges are vertex-aligned: a vertex's bucket scan is never split
+	// between workers.
 	part par.Partition
 	// drain accumulates the per-pass active counts (one append per pass,
 	// reused across runs, so the steady state stays off the heap).
 	drain []int64
+
+	// The edge-sweep kernel's per-vertex best-edge tables and lock array,
+	// grown by EdgeSweepWith only, so the worklist path neither allocates
+	// nor clears them.
+	bestE    []int64
+	bestKey  []edgeKey
+	bestPass []int64
+	locks    *par.SpinLocks
 }
 
-// grow resizes every buffer for an n-vertex graph. candPass entries are
-// reset to -1 (pass stamps restart at 0 every run); locks are reused as-is —
-// every lock is free between runs.
-func (s *Scratch) grow(ec *exec.Ctx, n int) {
+// candEdgeBits is the width of the edge-index field of a candidate word;
+// the pass stamp takes the remaining high bits. 2^40 edge slots would need
+// 24 TiB of U/V/W arrays, far past any graph the engine can hold.
+const (
+	candEdgeBits = 40
+	candEdgeMask = 1<<candEdgeBits - 1
+)
+
+// maxStamp is the largest pass stamp a candidate word can hold; stamps
+// cycle through 1..maxStamp (see nextStamp). It is a variable only so tests
+// can force the wrap.
+var maxStamp uint64 = 1<<(64-candEdgeBits) - 1
+
+// growWorklist sizes the worklist kernel's buffers for an n-vertex graph
+// and resets every vertex to unmatched with no candidate. Stamps restart at
+// 1 every run, so both the serial and the parallel branch must clear cand:
+// a word left by the previous run would otherwise read as current.
+func (s *Scratch) growWorklist(ec *exec.Ctx, n int) {
 	s.match = buf.Grow(s.match, n)
-	s.candE = buf.Grow(s.candE, n)
-	s.candPass = buf.Grow(s.candPass, n)
+	s.cand = buf.Grow(s.cand, n)
 	s.keep = buf.Grow(s.keep, n)
 	s.slots = buf.Grow(s.slots, n)
-	if cap(s.candKey) < n {
-		s.candKey = make([]edgeKey, n)
+	s.stamp = 0
+	if ec.Serial(n) {
+		s.resetWorklist(0, n)
+		return
 	}
-	s.candKey = s.candKey[:n]
+	ec.For(n, s.resetWorklist)
+}
+
+func (s *Scratch) resetWorklist(lo, hi int) {
+	match, cand := s.match[lo:hi], s.cand[lo:hi]
+	for i := range match {
+		match[i] = Unmatched
+		cand[i].Store(0)
+	}
+}
+
+// nextStamp returns the stamp of a new pass, pre-shifted into the high bits
+// of a candidate word. Stamps cycle through 1..maxStamp without clearing the
+// table, because only consecutive stamps must differ: every word a pass
+// reads belongs to a vertex that was also sent a proposal in the previous
+// pass (an edge available now was available then, and its owner listed
+// then), so it carries the previous or the current stamp — or, in a run's
+// first pass, the 0 that growWorklist wrote.
+func (s *Scratch) nextStamp() uint64 {
+	s.stamp = s.stamp%maxStamp + 1
+	return s.stamp << candEdgeBits
+}
+
+// growSweep sizes the edge-sweep kernel's buffers for an n-vertex graph.
+// bestPass entries are reset to -1 (pass stamps restart at 0 every run);
+// locks are reused as-is — every lock is free between runs.
+func (s *Scratch) growSweep(ec *exec.Ctx, n int) {
+	s.match = buf.Grow(s.match, n)
+	s.bestE = buf.Grow(s.bestE, n)
+	s.bestPass = buf.Grow(s.bestPass, n)
+	if cap(s.bestKey) < n {
+		s.bestKey = make([]edgeKey, n)
+	}
+	s.bestKey = s.bestKey[:n]
 	if s.locks == nil || s.locks.Len() < n {
 		s.locks = par.NewSpinLocks(n)
 	}
 	if ec.Serial(n) {
-		for i := 0; i < n; i++ {
-			s.match[i] = Unmatched
-			s.candPass[i] = -1
-		}
+		s.resetSweep(0, n)
 		return
 	}
-	ec.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.match[i] = Unmatched
-			s.candPass[i] = -1
-		}
-	})
+	ec.For(n, s.resetSweep)
+}
+
+func (s *Scratch) resetSweep(lo, hi int) {
+	match, bestPass := s.match[lo:hi], s.bestPass[lo:hi]
+	for i := range match {
+		match[i] = Unmatched
+		bestPass[i] = -1
+	}
 }
 
 // orNew returns s, or a fresh Scratch when s is nil, letting the kernels
@@ -168,16 +235,24 @@ func (s *Scratch) orNew() *Scratch {
 // calls WorklistWith to reuse buffers across phases.
 //
 // Each pass parallelizes over the array of still-active vertices. An active
-// vertex scans its own bucket (each edge is stored exactly once) and pushes
-// every available edge as a candidate proposal to *both* endpoints under the
-// total order (score, stored endpoints); "if edge {i, j} dominates the
+// vertex scans its own bucket (each edge is stored exactly once) and
+// proposes every available edge as a candidate to *both* endpoints under
+// the total order (score, stored endpoints); "if edge {i, j} dominates the
 // scores adjacent to i and j, that edge will be found by one of the two
-// vertices" (§IV-B). A vertex then claims its best candidate edge exactly
-// when the other side's best candidate is the same edge — the
-// locally-dominant discipline of Hoepman and Manne–Bisseling, which
-// guarantees weight within 2× of the maximum. Vertices whose claim was
-// frustrated but that still saw an available edge stay on the list; the
+// vertices" (§IV-B). A vertex is matched exactly when its best candidate is
+// also the other side's best candidate — the locally-dominant discipline of
+// Hoepman and Manne–Bisseling, which guarantees weight within 2× of the
+// maximum. Vertices whose candidate was not mutual stay on the list; the
 // matching is maximal when the list drains.
+//
+// The kernel takes no lock. Proposals raise a per-vertex candidate word by
+// compare-and-swap, only when the new edge beats the incumbent; the final
+// word is the maximum of a set fixed by the pass's starting state, so it
+// does not depend on the order the CASes land in. Mutual edges are
+// disjoint, and the bucket owner U[e] of a mutual edge e — always on the
+// list, since it alone proposed e — is the only writer of both match
+// entries. The result (Match, Passes, Drain) is therefore the same at every
+// worker count and schedule.
 func Worklist(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
 	return WorklistWith(ec, g, scores, nil)
 }
@@ -185,7 +260,7 @@ func Worklist(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
 // WorklistWith is Worklist running out of s's reusable buffers; a nil s
 // behaves exactly like Worklist. When ec carries a recorder it records one
 // span per pass (worklist length in, requeued count out) and the
-// rounds/visits/claim/conflict counters; a nil recorder costs a handful of
+// rounds/visits/claim counters; a nil recorder costs a handful of
 // predictable branches per pass — nothing per vertex or edge. When ec's
 // context is cancelled the pass loop exits early: the partial matching is
 // symmetric and claim-consistent, just not maximal.
@@ -197,11 +272,7 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 	// heap-boxed at declaration, which the zero-allocation steady state
 	// cannot afford (same for lst below).
 	s := scratch.orNew()
-	s.grow(ec, n)
-	// The per-vertex candidate tables (candE/candKey/candPass) are stamped
-	// by pass so they never need clearing; they are guarded by the scratch's
-	// locks during phase A and read freely in phase B (the phases are
-	// barrier-separated).
+	s.growWorklist(ec, n)
 
 	// Initial worklist: vertices owning at least one edge, built with the
 	// parallel prefix-sum-and-scatter index pack. Vertices with empty
@@ -238,47 +309,48 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 			break // cancelled: the matching so far is symmetric, stop refining it
 		}
 		s.drain = append(s.drain, int64(len(list)))
-		pass := int64(passes)
+		tag := s.nextStamp()
 		lst := list // single-assignment alias for closure capture
 		sp := rec.Begin(obs.CatMatch, "pass", -1)
 		var passT0 int64
 		if rec.Enabled() {
 			passT0 = obs.NowNS()
 		}
-		// Phase A: active vertices scan their buckets and push proposals to
-		// both endpoints of every available positive edge. The pass bodies
-		// live in plain functions so the serial path evaluates no closure
-		// literal (a literal handed to ForDynamic escapes and heap-allocates
-		// even when the loop then runs on one worker).
+		// Phase A: active vertices scan their buckets and raise the
+		// candidate words of both endpoints of every available positive
+		// edge. The pass bodies live in plain functions so the serial path
+		// evaluates no closure literal (a literal handed to ForDynamic
+		// escapes and heap-allocates even when the loop then runs on one
+		// worker).
 		balanced := !ec.Serial(len(lst)) && !ec.DynamicOnly()
 		if ec.Serial(len(lst)) {
-			worklistPropose(g, scores, s, lst, pass, 0, len(lst))
+			worklistPropose(g, scores, s, lst, tag, 0, len(lst))
 		} else if balanced {
 			// One degree-balanced schedule serves both phases of the pass,
 			// so a worker revisits in phase B the vertices it proposed for
-			// in phase A with the candidate tables still warm.
+			// in phase A with their candidate words still warm.
 			ec.BuildIndexed(&s.part, lst, g.Start, g.End)
 			ec.ForRanges("match/propose", &s.part, func(lo, hi int) {
-				worklistPropose(g, scores, s, lst, pass, lo, hi)
+				worklistPropose(g, scores, s, lst, tag, lo, hi)
 			})
 		} else {
 			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				worklistPropose(g, scores, s, lst, pass, lo, hi)
+				worklistPropose(g, scores, s, lst, tag, lo, hi)
 			})
 		}
 		// Phase B: claim mutual best edges; compact the worklist. The keep
-		// flags live in reused scratch, so every entry is written (0 on the
-		// drop paths) rather than relying on a fresh zeroed allocation.
+		// flags live in reused scratch, so every entry is written rather
+		// than relying on a fresh zeroed allocation.
 		keep := keepFlags[:len(lst)]
 		if ec.Serial(len(lst)) {
-			worklistClaim(g, s, lst, keep, pass, hot, 0, len(lst))
+			worklistClaim(g, s, lst, keep, tag, hot, 0, len(lst))
 		} else if balanced {
 			ec.ForRanges("match/claim", &s.part, func(lo, hi int) {
-				worklistClaim(g, s, lst, keep, pass, hot, lo, hi)
+				worklistClaim(g, s, lst, keep, tag, hot, lo, hi)
 			})
 		} else {
 			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				worklistClaim(g, s, lst, keep, pass, hot, lo, hi)
+				worklistClaim(g, s, lst, keep, tag, hot, lo, hi)
 			})
 		}
 		// Compact into the other half of the double-buffer and swap, so the
@@ -302,84 +374,101 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 	return res
 }
 
-// worklistPropose is phase A of one worklist pass over list[lo:hi]: each
-// active vertex scans its own bucket and proposes every available positive
-// edge to both endpoints under the total order.
-func worklistPropose(g *graph.Graph, scores []float64, s *Scratch, list []int64, pass int64, lo, hi int) {
-	match, locks := s.match, s.locks
-	candE, candKey, candPass := s.candE, s.candKey, s.candPass
+// worklistPropose is phase A of one worklist pass over list[lo:hi]. Every
+// listed vertex is unmatched (phase B keeps no matched vertex), and match
+// is not written during phase A, so it is read without atomics. Each vertex
+// raises the other endpoint's candidate word for every available positive
+// edge of its bucket, and its own word once, with the bucket's best edge
+// kept in a register during the scan.
+func worklistPropose(g *graph.Graph, scores []float64, s *Scratch, list []int64, tag uint64, lo, hi int) {
+	match, cand := s.match, s.cand
 	for i := lo; i < hi; i++ {
 		u := list[i]
-		if atomic.LoadInt64(&match[u]) != Unmatched {
-			continue
-		}
+		best := int64(-1)
+		var bestScore float64
 		for e := g.Start[u]; e < g.End[u]; e++ {
 			sc := scores[e]
 			if sc <= 0 {
 				continue
 			}
 			v := g.V[e]
-			if atomic.LoadInt64(&match[v]) != Unmatched {
+			if match[v] != Unmatched {
 				continue
 			}
-			k := makeKey(sc, g.U[e], g.V[e])
-			for _, side := range [2]int64{u, v} {
-				locks.Lock(side)
-				if candPass[side] != pass || candKey[side].less(k) {
-					candPass[side] = pass
-					candKey[side] = k
-					candE[side] = e
-				}
-				locks.Unlock(side)
+			if best < 0 || beats(g, e, sc, best, bestScore) {
+				best, bestScore = e, sc
 			}
+			raiseCand(g, scores, cand, v, e, sc, tag)
+		}
+		if best >= 0 {
+			raiseCand(g, scores, cand, u, best, bestScore, tag)
 		}
 	}
 }
 
-// worklistClaim is phase B of one worklist pass over list[lo:hi]: claim
-// mutually best edges and set the keep flag for vertices that stay active.
-// Claim outcomes are counted into chunk-locals and flushed once into hot
-// (nil when observability is off) — never a per-vertex atomic.
-func worklistClaim(g *graph.Graph, s *Scratch, list, keep []int64, pass int64, hot *obs.Hot, lo, hi int) {
-	match, locks := s.match, s.locks
-	candE, candPass := s.candE, s.candPass
-	var claims, conflicts int64
+// raiseCand lifts x's candidate word to edge e (score sc) unless the word
+// already holds this pass's (tag's) edge that beats or equals e. The CAS
+// runs only when e wins; a lost race reloads and compares again.
+func raiseCand(g *graph.Graph, scores []float64, cand []atomic.Uint64, x, e int64, sc float64, tag uint64) {
+	w := &cand[x]
+	for {
+		old := w.Load()
+		if old&^candEdgeMask == tag {
+			f := int64(old & candEdgeMask)
+			if !beats(g, e, sc, f, scores[f]) {
+				return
+			}
+		}
+		if w.CompareAndSwap(old, tag|uint64(e)) {
+			return
+		}
+	}
+}
+
+// beats reports whether edge e (score se) follows edge f (score sf) in the
+// total order of edgeKey. The scores decide almost every comparison, so
+// the full keys are built only on a tie.
+func beats(g *graph.Graph, e int64, se float64, f int64, sf float64) bool {
+	if se != sf {
+		return se > sf
+	}
+	return makeKey(sf, g.U[f], g.V[f]).less(makeKey(se, g.U[e], g.V[e]))
+}
+
+// worklistClaim is phase B of one worklist pass over list[lo:hi]: set the
+// keep flag of every vertex whose candidate is not mutual, and have the
+// owner U[e] of each mutual edge e write both match entries. Mutual edges
+// are disjoint and each has exactly one owner, so every match entry has one
+// writer and nothing reads match during phase B: plain stores, no lock.
+// Claims are counted into a chunk-local and flushed once into hot (nil when
+// observability is off).
+func worklistClaim(g *graph.Graph, s *Scratch, list, keep []int64, tag uint64, hot *obs.Hot, lo, hi int) {
+	match, cand := s.match, s.cand
+	var claims int64
 	for i := lo; i < hi; i++ {
-		keep[i] = 0
 		u := list[i]
-		if atomic.LoadInt64(&match[u]) != Unmatched {
-			continue // matched; drop
+		c := cand[u].Load()
+		if c&^candEdgeMask != tag {
+			keep[i] = 0 // no available edge anywhere near u; drop for good
+			continue
 		}
-		if candPass[u] != pass {
-			continue // no available edge anywhere near u; drop for good
-		}
-		e := candE[u]
+		e := int64(c & candEdgeMask)
 		a, b := g.U[e], g.V[e]
-		o := a // other endpoint of our best edge
+		o := a // other endpoint of u's best edge
 		if o == u {
 			o = b
 		}
-		if candPass[o] == pass && candE[o] == e {
-			// Mutually best: claim both sides. Both endpoints may run this
-			// claim; Lock2 serializes and the second sees the pair already
-			// made.
-			locks.Lock2(u, o)
-			if match[u] == Unmatched && match[o] == Unmatched {
-				atomic.StoreInt64(&match[u], o)
-				atomic.StoreInt64(&match[o], u)
-				claims++
-			} else {
-				conflicts++
-			}
-			locks.Unlock2(u, o)
+		if cand[o].Load() != c {
+			keep[i] = 1 // not mutual, but an edge is still in reach: try again
+			continue
 		}
-		if atomic.LoadInt64(&match[u]) == Unmatched {
-			// Still free but edges remain in reach: try again.
-			keep[i] = 1
+		keep[i] = 0 // mutual: u is matched this pass
+		if u == a {
+			match[a], match[b] = b, a
+			claims++
 		}
 	}
 	hot.Add(obs.CtrMatchClaims, claims)
-	hot.Add(obs.CtrMatchConflicts, conflicts)
 }
 
 // EdgeSweep computes the matching with the 2011 whole-edge-array algorithm
@@ -403,7 +492,7 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 	rec := ec.Recorder()
 	n := int(g.NumVertices())
 	s := scratch.orNew()
-	s.grow(ec, n)
+	s.growSweep(ec, n)
 
 	hot := rec.Hot()
 	s.drain = s.drain[:0]
@@ -465,7 +554,7 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 // slots and reports whether any eligible edge was seen.
 func edgeSweepBest(g *graph.Graph, scores []float64, s *Scratch, pass int64, lo, hi int) bool {
 	match, locks := s.match, s.locks
-	bestEdge, bestKey, bestPass := s.candE, s.candKey, s.candPass
+	bestEdge, bestKey, bestPass := s.bestE, s.bestKey, s.bestPass
 	local := false
 	for x := int64(lo); x < int64(hi); x++ {
 		for e := g.Start[x]; e < g.End[x]; e++ {
@@ -499,7 +588,7 @@ func edgeSweepBest(g *graph.Graph, scores []float64, s *Scratch, pass int64, lo,
 // (nil when observability is off).
 func edgeSweepClaim(g *graph.Graph, scores []float64, s *Scratch, pass int64, hot *obs.Hot, lo, hi int) {
 	match, locks := s.match, s.locks
-	bestEdge, bestPass := s.candE, s.candPass
+	bestEdge, bestPass := s.bestE, s.bestPass
 	var claims, conflicts int64
 	for x := int64(lo); x < int64(hi); x++ {
 		for e := g.Start[x]; e < g.End[x]; e++ {

@@ -49,8 +49,9 @@ const (
 	CtrMatchRequeued
 	// CtrMatchClaims counts successful pair claims.
 	CtrMatchClaims
-	// CtrMatchConflicts counts claims lost to a concurrent claim — the
-	// lock-protected analogue of a CAS retry.
+	// CtrMatchConflicts counts edge-sweep claims that found a side already
+	// matched under the pair's locks. Only the edge-sweep ablation kernel
+	// adds to it: the worklist kernel's owner-only claims cannot conflict.
 	CtrMatchConflicts
 	// CtrScoreMasked counts edges masked by the MaxCommunitySize cap during
 	// the fused scoring sweep.
