@@ -22,7 +22,7 @@ KERNEL_SRC := internal/scoring/*.go internal/matching/*.go internal/contract/*.g
 # vet-obs forbids raw fmt.Fprint*(os.Stderr, ...) here.
 LOG_SRC := cmd/*/*.go internal/harness/*.go
 
-.PHONY: all build test race vet vet-obs telemetry-smoke doctor doctor-smoke bench bench-smoke bench-compare bench-engines bench-engines-smoke bench-incremental bench-incremental-smoke bench-shard bench-shard-smoke clean
+.PHONY: all build test race vet vet-obs perfbench-check telemetry-smoke doctor doctor-smoke bench bench-smoke bench-compare bench-engines bench-engines-smoke bench-incremental bench-incremental-smoke bench-shard bench-shard-smoke clean
 
 all: build vet vet-obs test
 
@@ -106,6 +106,13 @@ vet-obs:
 		echo "vet-obs: raw runtime/pprof profile write outside internal/obs (capture through obs.Profiler so profiles are archived, rate-limited, and cross-linked):"; \
 		echo "$$bad"; exit 1; \
 	fi
+
+# The benchmark under perfbench/ is its own module, so `go build ./...` here
+# never compiles it: an API change in this module could break the benchmark
+# while every other check stays green. This vets and self-tests it against
+# the current tree (the module replaces repro with ../). CI blocks on it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end telemetry check, also a CI step: a real detection serves
 # /metrics/prom and the scrape comes back non-empty with the counter, gauge,

@@ -136,17 +136,23 @@ func BenchmarkEngineDetect(b *testing.B) {
 	benchEngineDetect(b, e)
 }
 
-// --- scratch-arena allocation benchmarks ---------------------------------
+// --- scratch-arena allocation benchmark -----------------------------------
 // BenchmarkDetect_Arena reuses one core.Scratch across iterations, the
-// steady-state regime a sweep or repeated detection reaches; _Fresh opts out
-// and allocates every buffer per run. Run with
+// steady-state regime a sweep or repeated detection reaches. Run with
 //
 //	go test -run=NONE -bench=Detect -benchmem
 //
-// to compare allocs/op and edges/s between the two regimes.
+// to see its allocs/op and edges/s.
 
-func benchDetectAllocs(b *testing.B, scratch *core.Scratch, opt core.Options) {
+func BenchmarkDetect_Arena(b *testing.B) {
+	opt := paperOptions(0)
+	opt.DiscardLevels = true
+	scratch := core.NewScratch()
+	// Warm the arena once so every iteration measures steady state.
 	_, lj, _ := loadBenchGraphs(b)
+	if _, err := core.DetectWith(lj, opt, scratch); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
@@ -159,25 +165,6 @@ func benchDetectAllocs(b *testing.B, scratch *core.Scratch, opt core.Options) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(lj.NumEdges())*float64(b.N)/elapsed, "edges/s")
 	}
-}
-
-func BenchmarkDetect_Arena(b *testing.B) {
-	opt := paperOptions(0)
-	opt.DiscardLevels = true
-	scratch := core.NewScratch()
-	// Warm the arena once so every iteration measures steady state.
-	_, lj, _ := loadBenchGraphs(b)
-	if _, err := core.DetectWith(lj, opt, scratch); err != nil {
-		b.Fatal(err)
-	}
-	benchDetectAllocs(b, scratch, opt)
-}
-
-func BenchmarkDetect_Fresh(b *testing.B) {
-	opt := paperOptions(0)
-	opt.DiscardLevels = true
-	opt.NoScratch = true
-	benchDetectAllocs(b, nil, opt)
 }
 
 // --- dynamic-graph store: delta application and incremental re-detection --
@@ -941,8 +928,7 @@ func BenchmarkParFor_PoolVsSpawn(b *testing.B) {
 // BenchmarkDetect_PooledTeam is the end-to-end view of the same contrast:
 // a caller-owned exec.Ctx keeps one worker team parked across detections
 // (the harness sweep pattern), against BenchmarkDetect_Arena's
-// acquire-per-call path and BenchmarkDetect_Fresh's allocate-everything
-// baseline.
+// acquire-per-call path.
 func BenchmarkDetect_PooledTeam(b *testing.B) {
 	opt := paperOptions(0)
 	opt.DiscardLevels = true

@@ -14,9 +14,9 @@
 //	-ablation  old vs. new matching and contraction kernels (§IV-B/C, the
 //	           "20% improvement" and "drastic on Intel" claims)
 //	-phases    per-phase time breakdown (§IV-C: contraction takes 40–80%)
-//	-imbalance edge-balanced scheduler vs dynamic chunking: per-region
-//	           worker imbalance on a skewed R-MAT and a uniform grid, plus
-//	           the analytic per-phase schedule bound
+//	-imbalance edge-balanced scheduler: per-region worker imbalance on a
+//	           skewed R-MAT and a uniform grid, plus the analytic per-phase
+//	           schedule bound
 
 //	-quality   modularity vs. sequential CNM and Louvain (§V sanity check)
 //	-extensions paper-named extensions: per-phase refinement (§II),
@@ -77,7 +77,7 @@ func main() {
 	flag.BoolVar(&m.quality, "quality", false, "modularity vs sequential baselines (§V)")
 	flag.BoolVar(&m.extensions, "extensions", false, "paper-named extensions: per-phase refinement, size caps, algebraic contraction")
 	flag.BoolVar(&m.memory, "memory", false, "space accounting vs the paper's §IV formulas")
-	flag.BoolVar(&m.imbalance, "imbalance", false, "edge-balanced scheduler vs dynamic chunking (worker imbalance)")
+	flag.BoolVar(&m.imbalance, "imbalance", false, "edge-balanced scheduler worker imbalance and per-phase bound")
 	flag.BoolVar(&m.engines, "engines", false, "speed-by-quality matrix across detection engines (matching/plp/ensemble)")
 	all := flag.Bool("all", false, "run every experiment")
 	engineArg := flag.String("engine", "matching", "engine used by the sweep modes: matching | plp | ensemble")
@@ -165,7 +165,7 @@ func main() {
 		check(err)
 		defer srv.Close()
 		logger.Info("serving live metrics",
-			"url", fmt.Sprintf("http://%s/metrics", srv.Addr()),
+			"url", fmt.Sprintf("http://%s/metrics/prom", srv.Addr()),
 			"prometheus", "/metrics/prom", "convergence", "/convergence", "flight", "/debug/flight")
 	}
 	// A panic below must not lose the telemetry gathered so far: write the
@@ -531,20 +531,20 @@ func (b *bencher) printProfile(res *core.Result) {
 	}
 }
 
-// runImbalance contrasts the per-level edge-balanced scheduler (SchedAuto)
-// against the dynamic-chunking baseline (SchedDynamic) on a skewed R-MAT
-// and a uniform grid. Two views are printed per graph:
+// runImbalance reports how evenly the per-level edge-balanced schedule
+// splits work on a skewed R-MAT and a uniform grid. Two views are printed
+// per graph:
 //
-//   - the obs recorder's wall-clock per-region worker imbalance for both
-//     schedulers (meaningful only with real cores: on an oversubscribed or
-//     single-core host the workers time-share and the numbers are noise);
+//   - the obs recorder's wall-clock per-region worker imbalance (meaningful
+//     only with real cores: on an oversubscribed or single-core host the
+//     workers time-share and the numbers are noise);
 //   - the analytic schedule bound per phase: a whole-bucket (vertex-aligned)
 //     schedule must hand the largest bucket to one worker, so its imbalance
 //     is at least maxBucket/((m+n)/p), while the hub-splitting span schedule
 //     is within one bucket's +1 unit of even by construction (~1.00). The
 //     bound is deterministic and host-independent.
 func (b *bencher) runImbalance() {
-	section("Scheduler imbalance — edge-balanced spans vs dynamic chunking")
+	section("Scheduler imbalance — edge-balanced spans vs whole-bucket bound")
 	p := b.maxThreads
 	side := int64(1) << (b.scale / 2)
 	graphs := []struct {
@@ -555,26 +555,18 @@ func (b *bencher) runImbalance() {
 		{fmt.Sprintf("grid-%d", side), gen.Grid(side, side)},
 	}
 	for _, gr := range graphs {
-		var autoStats []core.PhaseStats
-		for _, sched := range []core.Scheduler{core.SchedAuto, core.SchedDynamic} {
-			rec := obs.New()
-			res, err := core.DetectContext(b.ctx, gr.g, core.Options{
-				Threads: p, Scheduler: sched, Recorder: rec})
-			check(err)
-			if sched == core.SchedAuto {
-				autoStats = res.Stats
-			}
-			fmt.Printf("\n%s  sched=%s  p=%d  (wall-clock region imbalance; needs real cores)\n",
-				gr.name, sched, p)
-			for _, r := range rec.Export().Regions {
-				fmt.Printf("  %-18s %4d calls  %2d workers  busy %7.3fs  imbalance %.2f\n",
-					r.Region, r.Calls, r.Workers, r.BusySec, r.Imbalance)
-			}
+		rec := obs.New()
+		res, err := core.DetectContext(b.ctx, gr.g, core.Options{Threads: p, Recorder: rec})
+		check(err)
+		fmt.Printf("\n%s  p=%d  (wall-clock region imbalance; needs real cores)\n", gr.name, p)
+		for _, r := range rec.Export().Regions {
+			fmt.Printf("  %-18s %4d calls  %2d workers  busy %7.3fs  imbalance %.2f\n",
+				r.Region, r.Calls, r.Workers, r.BusySec, r.Imbalance)
 		}
 		fmt.Printf("\n%s  analytic per-phase schedule bound at p=%d (host-independent):\n", gr.name, p)
 		fmt.Printf("  %5s %10s %10s %10s %14s %12s\n",
 			"phase", "vertices", "edges", "maxbucket", "aligned>=", "spans~")
-		for _, st := range autoStats {
+		for _, st := range res.Stats {
 			work := st.Edges + st.Vertices // +1 unit per vertex, the partition's weighting
 			alignedLB := 1.0
 			if work > 0 {

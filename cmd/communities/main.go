@@ -154,7 +154,7 @@ func main() {
 		}
 		defer srv.Close()
 		logger.Info("serving live metrics",
-			"url", fmt.Sprintf("http://%s/metrics", srv.Addr()),
+			"url", fmt.Sprintf("http://%s/metrics/prom", srv.Addr()),
 			"prometheus", "/metrics/prom", "convergence", "/convergence", "flight", "/debug/flight")
 	}
 

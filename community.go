@@ -102,8 +102,8 @@ type ModularityScorer = scoring.Modularity
 type ConductanceScorer = scoring.Conductance
 
 // Detect runs the parallel agglomerative community detection algorithm.
-// Unless Options.NoScratch is set it constructs a reusable scratch arena
-// internally, so only the first phase of a run allocates; long-lived
+// It constructs a reusable scratch arena internally, so only the first
+// phase of a run allocates; long-lived
 // callers hand DetectWith an explicit Scratch to amortize even that across
 // runs.
 func Detect(g *Graph, opt Options) (*Result, error) { return core.Detect(g, opt) }

@@ -414,18 +414,6 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 		} else {
 			live = dedupBuckets(ng, counts, 0, kk)
 		}
-	} else if ec.DynamicOnly() {
-		var acc int64
-		if hot != nil {
-			ec.ForDynamic(kk, 0, func(lo, hi int) {
-				atomic.AddInt64(&acc, dedupBucketsTimed(ng, counts, hot, lo, hi))
-			})
-		} else {
-			ec.ForDynamic(kk, 0, func(lo, hi int) {
-				atomic.AddInt64(&acc, dedupBuckets(ng, counts, lo, hi))
-			})
-		}
-		live = acc
 	} else {
 		ec.BuildWeights(&s.part, kk, counts)
 		var acc int64

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/buf"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/plp"
 	"repro/internal/refine"
 	"repro/internal/scoring"
@@ -133,37 +131,6 @@ func (k ContractKernel) String() string {
 	return fmt.Sprintf("ContractKernel(%d)", int(k))
 }
 
-// Scheduler selects how the engine schedules parallel kernel sweeps.
-type Scheduler int
-
-const (
-	// SchedAuto, the default, prefix-sums the bucket lengths of each
-	// hierarchy level once and installs the resulting edge-balanced
-	// partition on the execution context: edge-parallel sweeps (scoring,
-	// contraction's count/scatter) walk edge-exact spans that split hub
-	// buckets across workers, vertex-state sweeps (matching, refinement,
-	// dedup) get degree-balanced vertex-aligned ranges, and anything below
-	// the parallel threshold stays serial.
-	SchedAuto Scheduler = iota
-	// SchedDynamic disables static balanced scheduling (an ablation and
-	// measurement baseline): sweeps fall back to dynamic equal-count
-	// chunking wherever the kernel admits it. Contraction's histogram
-	// stripes require a static schedule and keep a locally built span
-	// partition either way.
-	SchedDynamic
-)
-
-// String returns the scheduler's name for logs and benchmark labels.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedAuto:
-		return "auto"
-	case SchedDynamic:
-		return "dynamic"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
 // Options configures a detection run. The zero value asks for modularity
 // maximization with the paper's improved kernels on all available threads,
 // running to a local maximum.
@@ -175,10 +142,6 @@ type Options struct {
 	// Matching and Contraction select the kernels.
 	Matching    MatchKernel
 	Contraction ContractKernel
-	// Scheduler selects how parallel sweeps are scheduled across workers;
-	// the zero value (SchedAuto) builds an edge-balanced schedule per
-	// hierarchy level, SchedDynamic keeps the dynamic-chunking baseline.
-	Scheduler Scheduler
 	// Engine selects the detection pipeline: the matching agglomeration
 	// (default), pure label propagation, or the PLP-coarsened ensemble.
 	Engine Engine
@@ -218,11 +181,6 @@ type Options struct {
 	// "incorporating refinement into our parallel algorithm" (§II). Slower
 	// per phase, substantially better modularity.
 	RefineEveryPhase bool
-	// NoScratch opts out of the reusable scratch arena: every phase then
-	// allocates its working arrays from scratch, the seed behavior. The
-	// default (arena on) reuses one set of buffers across phases — and, via
-	// DetectWith, across runs — so steady-state phases stay off the heap.
-	NoScratch bool
 	// DiscardLevels leaves Result.Levels empty. The per-phase old→new maps
 	// are the one per-phase output that must otherwise be freshly
 	// allocated; callers that only want the final partition set this to
@@ -315,9 +273,9 @@ type Result struct {
 }
 
 // Detect runs the agglomerative algorithm on g. The input graph is treated
-// as read-only. Unless Options.NoScratch is set, Detect constructs a
-// Scratch arena internally so that after the first phase the loop reuses
-// every working buffer; DetectWith extends the reuse across runs.
+// as read-only. Detect constructs a Scratch arena internally so that after
+// the first phase the loop reuses every working buffer; DetectWith extends
+// the reuse across runs.
 func Detect(g *graph.Graph, opt Options) (*Result, error) {
 	return DetectContext(context.Background(), g, opt)
 }
@@ -328,19 +286,15 @@ func Detect(g *graph.Graph, opt Options) (*Result, error) {
 // hierarchy built so far, and a non-nil error wrapping ctx.Err(). The arena
 // (and, via DetectWithContext, the worker team) is left in a reusable state.
 func DetectContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	var s *Scratch
-	if !opt.NoScratch {
-		s = NewScratch()
-	}
-	return DetectWithContext(ctx, g, opt, s)
+	return DetectWithContext(ctx, g, opt, nil)
 }
 
 // DetectWith is Detect running out of the reusable arena s: repeated calls
 // (the harness's thread sweeps, service-style repeated queries) skip even
 // the first-phase allocations once the arena has grown to the workload. A
-// nil s (or Options.NoScratch) selects fresh per-phase allocations, the
-// seed behavior. The returned Result never aliases arena memory. s must not
-// be shared by concurrent runs.
+// nil s runs out of a throwaway arena, exactly like Detect. The returned
+// Result never aliases arena memory. s must not be shared by concurrent
+// runs.
 func DetectWith(g *graph.Graph, opt Options, s *Scratch) (*Result, error) {
 	return DetectWithContext(context.Background(), g, opt, s)
 }
@@ -353,6 +307,9 @@ func DetectWithContext(ctx context.Context, g *graph.Graph, opt Options, s *Scra
 	if err := validateOptions(g, opt); err != nil {
 		return nil, err
 	}
+	if s == nil {
+		s = NewScratch()
+	}
 	ec := exec.Acquire(ctx, opt.Threads, opt.Recorder)
 	defer ec.Release()
 	return detect(ec, g, opt, s, nil)
@@ -361,10 +318,13 @@ func DetectWithContext(ctx context.Context, g *graph.Graph, opt Options, s *Scra
 // DetectExec is the lowest-level entry point: the caller owns ec (its
 // context, recorder, and worker team), which overrides Options.Threads and
 // Options.Recorder entirely. The harness uses this to run a whole thread
-// sweep on one long-lived team.
+// sweep on one long-lived team. A nil s runs out of a throwaway arena.
 func DetectExec(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch) (*Result, error) {
 	if err := validateOptions(g, opt); err != nil {
 		return nil, err
+	}
+	if s == nil {
+		s = NewScratch()
 	}
 	return detect(ec, g, opt, s, nil)
 }
@@ -407,33 +367,20 @@ func validateOptions(g *graph.Graph, opt Options) error {
 // re-detection) replaces the identity starting partition: the run opens by
 // contracting g under the seed mapping and the matching loop continues from
 // the resulting community graph. Seeded runs use the matching engine only
-// (enforced by DetectIncremental).
+// (enforced by DetectIncremental). s is never nil: the entry points supply
+// a throwaway arena when the caller passes none.
 func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPartition) (*Result, error) {
-	if opt.NoScratch {
-		s = nil
-	}
 	scorer := opt.Scorer
 	if scorer == nil {
 		scorer = scoring.Modularity{}
 	}
 	matchFn, _ := matchFunc(opt.Matching)
 	contractFn, _ := contractFunc(opt.Contraction)
-	// The level schedule (Options.Scheduler): detect installs a partition on
-	// ec at the top of every phase and must leave neither it nor the
-	// dynamic-only flag behind for the next user of the context.
-	if opt.Scheduler == SchedDynamic {
-		ec.SetDynamicOnly(true)
-		defer ec.SetDynamicOnly(false)
-	}
+	// The level schedule: detect installs the arena's partition on ec at the
+	// top of every phase and must not leave it behind for the next user of
+	// the context.
 	defer ec.SetPartition(nil)
-	// The arena carries the partition workspace; only the no-scratch path
-	// allocates one (conditionally, so the arena path stays off the heap).
-	var levelPart *par.Partition
-	if s != nil {
-		levelPart = &s.part
-	} else {
-		levelPart = &par.Partition{}
-	}
+	levelPart := &s.part
 	// p is the worker count for the helpers outside the exec-threaded layers
 	// (graph degree/weight sweeps); single-assignment so closures below don't
 	// heap-box it. rec likewise: a nil rec makes every instrumentation call a
@@ -441,7 +388,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	p := ec.Threads()
 	rec := ec.Recorder()
 	// One run = one set of ledger rows. Reset (rather than requiring a fresh
-	// ledger) keeps a pointer published to the live expvar endpoint valid
+	// ledger) keeps a pointer installed on the live metrics endpoint valid
 	// across bench iterations.
 	opt.Ledger.Reset()
 	// The run's heap footprint brackets the whole detection: two ReadMemStats
@@ -473,18 +420,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		})
 	}
 	totW := g.TotalWeight(p)
-	// sizes is the working per-community vertex count; with an arena it
-	// lives in the double-buffer (the roll-up below ping-pongs between the
-	// halves) and is copied out at the end, without one it is fresh and
-	// handed to the Result directly.
+	// sizes is the working per-community vertex count; it lives in the
+	// arena's double-buffer (the roll-up below ping-pongs between the halves)
+	// and is copied out at the end.
 	sizesIdx := 0
-	var sizes []int64
-	if s != nil {
-		s.sizes[0] = buf.Grow(s.sizes[0], int(n))
-		sizes = s.sizes[0]
-	} else {
-		sizes = make([]int64, n)
-	}
+	s.sizes[0] = buf.Grow(s.sizes[0], int(n))
+	sizes := s.sizes[0]
 	// initSizes aliases sizes for the closure below: sizes is reassigned
 	// every phase, and a closure capturing a reassigned variable heap-boxes
 	// it (same reason finish takes cg and sizes as parameters).
@@ -507,19 +448,11 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.ClearLabels()
 		res.Termination = term
 		res.NumCommunities = cg.NumVertices()
-		if s != nil {
-			res.Sizes = append([]int64(nil), sizes...)
-		} else {
-			res.Sizes = sizes
-		}
+		res.Sizes = append([]int64(nil), sizes...)
 		res.FinalCoverage = coverage(ec, cg, totW)
 		if deg == nil {
-			if s != nil {
-				deg = cg.WeightedDegreesInto(p, s.deg)
-				s.deg = deg
-			} else {
-				deg = cg.WeightedDegrees(p)
-			}
+			deg = cg.WeightedDegreesInto(p, s.deg)
+			s.deg = deg
 		}
 		res.FinalModularity = modularityOf(ec, cg, deg, totW)
 		res.Total = time.Since(start)
@@ -542,27 +475,18 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("plp")
 		pSpan := rec.Begin(obs.CatKernel, "plp", -1)
 		t0 := time.Now()
-		var ps *plp.Scratch
-		if s != nil {
-			ps = &s.plp
-		}
 		sweeps := opt.PLPMaxSweeps
 		if sweeps == 0 && opt.Engine == EngineEnsemble {
 			sweeps = DefaultEnsembleSweeps
 		}
-		pres := plp.PropagateWith(ec, g, plp.Options{MaxSweeps: sweeps, Threshold: opt.PLPThreshold}, ps)
+		pres := plp.PropagateWith(ec, g, plp.Options{MaxSweeps: sweeps, Threshold: opt.PLPThreshold}, &s.plp)
 		plpTime := time.Since(t0)
 		pSpan.EndArgs("sweeps", int64(pres.Sweeps), "vertices", n)
 		// The entry partition (identity) for the stats row: its coverage is
 		// the input's self-loop fraction and its modularity needs the input
 		// degrees.
-		var deg0 []int64
-		if s != nil {
-			deg0 = g.WeightedDegreesInto(p, s.deg)
-			s.deg = deg0
-		} else {
-			deg0 = g.WeightedDegrees(p)
-		}
+		deg0 := g.WeightedDegreesInto(p, s.deg)
+		s.deg = deg0
 		cov0 := coverage(ec, g, totW)
 		mod0 := modularityOf(ec, g, deg0, totW)
 		if opt.Ledger.Enabled() {
@@ -591,21 +515,15 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if opt.Contraction == ContractBucketNonContiguous {
 			layout = contract.NonContiguous
 		}
-		var cs *contract.Scratch
-		var dst *graph.Graph
 		var mapBuf []int64
-		if s != nil {
-			cs = &s.contract
-			// Buffer 0: the matching loop ping-pongs on phase&1 and starts
-			// at phase 1 for the ensemble, so its first contraction reads
-			// this graph out of buffer 0 while writing buffer 1.
-			dst = s.graphBuf(0)
-			if opt.DiscardLevels {
-				mapBuf = s.mapping
-			}
+		if opt.DiscardLevels {
+			mapBuf = s.mapping
 		}
-		ng, mapping, k := contract.ByLabelsWith(ec, g, pres.Labels, layout, cs, dst, mapBuf)
-		if s != nil && opt.DiscardLevels {
+		// Buffer 0: the matching loop ping-pongs on phase&1 and starts at
+		// phase 1 for the ensemble, so its first contraction reads this graph
+		// out of buffer 0 while writing buffer 1.
+		ng, mapping, k := contract.ByLabelsWith(ec, g, pres.Labels, layout, &s.contract, s.graphBuf(0), mapBuf)
+		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
 		contractTime := time.Since(t1)
@@ -694,15 +612,9 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if opt.Contraction == ContractBucketNonContiguous {
 			layout = contract.NonContiguous
 		}
-		var cs *contract.Scratch
-		var dst *graph.Graph
-		if s != nil {
-			cs = &s.contract
-			// Buffer 0: the loop starts at phase 1 and its first contraction
-			// writes s.graphBuf(1), so reading buffer 0 is safe.
-			dst = s.graphBuf(0)
-		}
-		ng := contract.ByMappingWith(ec, g, seed.comm, seed.k, layout, cs, dst)
+		// Buffer 0: the loop starts at phase 1 and its first contraction
+		// writes s.graphBuf(1), so reading buffer 0 is safe.
+		ng := contract.ByMappingWith(ec, g, seed.comm, seed.k, layout, &s.contract, s.graphBuf(0))
 		contractTime := time.Since(t0)
 		rec.ObserveLatency(obs.LatContract, contractTime.Nanoseconds())
 		cSpan.EndArgs("vertices", seed.k, "edges", ng.NumEdges())
@@ -718,13 +630,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		sizes, sizesIdx = rollupSizes(ec, s, sizes, sizesIdx, seed.comm, int(seed.k))
 		// The seed partition's quality, evaluated on its community graph,
 		// anchors the metric trajectory of the incremental levels.
-		var deg0 []int64
-		if s != nil {
-			deg0 = ng.WeightedDegreesInto(p, s.deg)
-			s.deg = deg0
-		} else {
-			deg0 = ng.WeightedDegrees(p)
-		}
+		deg0 := ng.WeightedDegreesInto(p, s.deg)
+		s.deg = deg0
 		cov0 := coverage(ec, ng, totW)
 		mod0 := modularityOf(ec, ng, deg0, totW)
 		maxBucket := g.MaxBucketLen()
@@ -781,11 +688,11 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// Primitive 0: the level schedule. One prefix sum over the bucket
 		// lengths yields the edge-balanced partition that every kernel sweep
 		// over cg adopts through Balanced; kernels keep their dynamic (or
-		// locally built) fallbacks for serial runs, immutable contexts, and
-		// SchedDynamic, where no partition is installed.
+		// locally built) fallbacks for serial runs and immutable contexts,
+		// where no partition is installed.
 		nv := int(cg.NumVertices())
 		schedBuilt := false
-		if !ec.Serial(nv) && !ec.DynamicOnly() {
+		if !ec.Serial(nv) {
 			if ec.SetPartition(levelPart); ec.Partition() == levelPart {
 				ssp := rec.Begin(obs.CatKernel, "schedule", -1)
 				ec.BuildBuckets(levelPart, nv, cg.Start, cg.End)
@@ -803,20 +710,10 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("score")
 		scSpan := rec.Begin(obs.CatKernel, "score", -1)
 		t0 := time.Now()
-		var deg []int64
-		if s != nil {
-			deg = cg.WeightedDegreesInto(p, s.deg)
-			s.deg = deg
-		} else {
-			deg = cg.WeightedDegrees(p)
-		}
-		var scores []float64
-		if s != nil {
-			s.scores = buf.Grow(s.scores, len(cg.U))
-			scores = s.scores[:len(cg.U)]
-		} else {
-			scores = make([]float64, len(cg.U))
-		}
+		deg := cg.WeightedDegreesInto(p, s.deg)
+		s.deg = deg
+		s.scores = buf.Grow(s.scores, len(cg.U))
+		scores := s.scores[:len(cg.U)]
 		var positive bool
 		if fused, ok := scorer.(scoring.Fused); ok {
 			positive = fused.ScoreFused(ec, cg, deg, totW, scores, sizes, opt.MaxCommunitySize,
@@ -866,11 +763,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("match")
 		mSpan := rec.Begin(obs.CatKernel, "match", -1)
 		t1 := time.Now()
-		var ms *matching.Scratch
-		if s != nil {
-			ms = &s.match
-		}
-		mres := matchFn(ec, cg, scores, ms)
+		mres := matchFn(ec, cg, scores, &s.match)
 		matchTime := time.Since(t1)
 		rec.ObserveLatency(obs.LatMatch, matchTime.Nanoseconds())
 		mSpan.EndArgs("pairs", mres.Pairs, "passes", int64(mres.Passes))
@@ -900,18 +793,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("contract")
 		cSpan := rec.Begin(obs.CatKernel, "contract", -1)
 		t2 := time.Now()
-		var cs *contract.Scratch
-		var dst *graph.Graph
 		var mapBuf []int64
-		if s != nil {
-			cs = &s.contract
-			dst = s.graphBuf(phase)
-			if opt.DiscardLevels {
-				mapBuf = s.mapping
-			}
+		if opt.DiscardLevels {
+			mapBuf = s.mapping
 		}
-		ng, mapping := contractFn(ec, cg, mres.Match, cs, dst, mapBuf)
-		if s != nil && opt.DiscardLevels {
+		ng, mapping := contractFn(ec, cg, mres.Match, &s.contract, s.graphBuf(phase), mapBuf)
+		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
 		contractTime := time.Since(t2)
@@ -1031,17 +918,17 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 }
 
 // rollupSizes folds the per-community vertex counts through a contraction
-// mapping into k new counts. With an arena the roll-up ping-pongs between
-// the scratch's double-buffered size arrays and uses the same
-// per-worker-stripe pattern as the contraction kernel — each worker
-// accumulates into its own k-wide partial, merged by a parallel reduction —
-// instead of one atomic add per old community, which serialized on heavily
-// merged regions. It returns the new sizes slice and double-buffer index.
+// mapping into k new counts. The roll-up ping-pongs between the scratch's
+// double-buffered size arrays and uses the same per-worker-stripe pattern as
+// the contraction kernel — each worker accumulates into its own k-wide
+// partial, merged by a parallel reduction — instead of one atomic add per
+// old community, which serialized on heavily merged regions. It returns the
+// new sizes slice and double-buffer index.
 func rollupSizes(ec *exec.Ctx, s *Scratch, sizes []int64, sizesIdx int, mapping []int64, kNew int) ([]int64, int) {
-	if s != nil && ec.Serial(len(sizes)) {
-		other := sizesIdx ^ 1
-		s.sizes[other] = buf.Grow(s.sizes[other], kNew)
-		newSizes := s.sizes[other][:kNew]
+	other := sizesIdx ^ 1
+	s.sizes[other] = buf.Grow(s.sizes[other], kNew)
+	newSizes := s.sizes[other][:kNew]
+	if ec.Serial(len(sizes)) {
 		clear(newSizes)
 		for c := range sizes {
 			if sizes[c] != 0 {
@@ -1050,36 +937,21 @@ func rollupSizes(ec *exec.Ctx, s *Scratch, sizes []int64, sizesIdx int, mapping 
 		}
 		return newSizes, other
 	}
-	if s != nil {
-		workers := ec.Workers(len(sizes))
-		s.sizeStripes = buf.Grow(s.sizeStripes, workers*kNew)
-		stripes := s.sizeStripes
-		ec.ZeroInt64(stripes[:workers*kNew])
-		oldSizes := sizes // single-assignment alias for closure capture
-		ec.ForWorker(len(oldSizes), func(w, lo, hi int) {
-			base := w * kNew
-			for c := lo; c < hi; c++ {
-				if oldSizes[c] != 0 {
-					stripes[base+int(mapping[c])] += oldSizes[c]
-				}
-			}
-		})
-		other := sizesIdx ^ 1
-		s.sizes[other] = buf.Grow(s.sizes[other], kNew)
-		newSizes := s.sizes[other][:kNew]
-		ec.MergeStripes(stripes, workers, kNew, newSizes)
-		return newSizes, other
-	}
-	newSizes := make([]int64, kNew)
-	oldSizes := sizes
-	ec.For(len(oldSizes), func(lo, hi int) {
+	workers := ec.Workers(len(sizes))
+	s.sizeStripes = buf.Grow(s.sizeStripes, workers*kNew)
+	stripes := s.sizeStripes
+	ec.ZeroInt64(stripes[:workers*kNew])
+	oldSizes := sizes // single-assignment alias for closure capture
+	ec.ForWorker(len(oldSizes), func(w, lo, hi int) {
+		base := w * kNew
 		for c := lo; c < hi; c++ {
 			if oldSizes[c] != 0 {
-				atomic.AddInt64(&newSizes[mapping[c]], oldSizes[c])
+				stripes[base+int(mapping[c])] += oldSizes[c]
 			}
 		}
 	})
-	return newSizes, sizesIdx
+	ec.MergeStripes(stripes, workers, kNew, newSizes)
+	return newSizes, other
 }
 
 // boolInt64 converts a flag to a span argument value.

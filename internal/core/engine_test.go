@@ -190,18 +190,16 @@ func TestEngineDeterminismGate(t *testing.T) {
 }
 
 func TestEngineArenaMatchesFresh(t *testing.T) {
-	// The arena-vs-fresh equivalence gate per engine: a shared Scratch cycled
-	// across engines and graph sizes must reproduce fresh-allocation runs.
+	// The dirty-vs-clean arena equivalence gate per engine: a shared Scratch
+	// cycled across engines and graph sizes must reproduce clean-arena runs.
 	graphs := []*graph.Graph{gen.CliqueChain(24, 6), gen.Karate(), gen.CliqueChain(40, 5)}
 	s := NewScratch()
 	for _, e := range allEngines {
 		for i, g := range graphs {
 			opt := Options{Threads: 1, Engine: e, Validate: true}
-			fresh := opt
-			fresh.NoScratch = true
-			want, err := Detect(g, fresh)
+			want, err := DetectWith(g, opt, NewScratch())
 			if err != nil {
-				t.Fatalf("%s/graph %d fresh: %v", e, i, err)
+				t.Fatalf("%s/graph %d clean arena: %v", e, i, err)
 			}
 			got, err := DetectWith(g, opt, s)
 			if err != nil {

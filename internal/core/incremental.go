@@ -56,17 +56,14 @@ type IncrementalResult struct {
 // incremental path requires EngineMatching (the PLP engines re-label
 // globally, which defeats the frozen remainder).
 func DetectIncremental(ov *graph.Overlay, prev *hierarchy.Dendrogram, batch *graph.Delta, opt Options) (*IncrementalResult, error) {
-	var s *Scratch
-	if !opt.NoScratch {
-		s = NewScratch()
-	}
-	return DetectIncrementalWithContext(context.Background(), ov, prev, batch, opt, s)
+	return DetectIncrementalWithContext(context.Background(), ov, prev, batch, opt, nil)
 }
 
 // DetectIncrementalWith is DetectIncremental running out of the reusable
 // arena s: a serving loop feeding batch after batch through one Scratch
 // keeps the steady state off the heap (the arena carries the dirty flags,
-// the seed partition, and every engine buffer across runs).
+// the seed partition, and every engine buffer across runs). A nil s runs
+// out of a throwaway arena, exactly like DetectIncremental.
 func DetectIncrementalWith(ov *graph.Overlay, prev *hierarchy.Dendrogram, batch *graph.Delta, opt Options, s *Scratch) (*IncrementalResult, error) {
 	return DetectIncrementalWithContext(context.Background(), ov, prev, batch, opt, s)
 }
@@ -105,25 +102,17 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 	if err := validateOptions(g, opt); err != nil {
 		return nil, err
 	}
-	if opt.NoScratch {
-		s = nil
+	if s == nil {
+		s = NewScratch()
 	}
 
 	n := g.NumVertices()
 	prevComm, prevK := prev.Final()
 
-	var dirty []bool
-	var remap, seedComm []int64
-	if s != nil {
-		s.dirty = buf.Grow(s.dirty, int(prevK))
-		s.remap = buf.Grow(s.remap, int(prevK))
-		s.seedComm = buf.Grow(s.seedComm, int(n))
-		dirty, remap, seedComm = s.dirty, s.remap, s.seedComm
-	} else {
-		dirty = make([]bool, prevK)
-		remap = make([]int64, prevK)
-		seedComm = make([]int64, n)
-	}
+	s.dirty = buf.Grow(s.dirty, int(prevK))
+	s.remap = buf.Grow(s.remap, int(prevK))
+	s.seedComm = buf.Grow(s.seedComm, int(n))
+	dirty, remap, seedComm := s.dirty, s.remap, s.seedComm
 	clear(dirty)
 
 	// Mark the communities incident to the batch dirty. Endpoints were

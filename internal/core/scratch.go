@@ -41,7 +41,7 @@ type Scratch struct {
 	sizes       [2][]int64
 	sizeStripes []int64
 	// part is the per-level edge-balanced schedule the engine installs on
-	// the execution context at the top of each phase (Options.Scheduler).
+	// the execution context at the top of each phase.
 	part     par.Partition
 	match    matching.Scratch
 	contract contract.Scratch

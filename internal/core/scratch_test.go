@@ -1,15 +1,17 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/seq"
 )
 
 // sameResult fails unless a and b describe the same partition and quality.
-// Runs at Threads=1 are deterministic, so arena and fresh modes must agree
-// exactly.
+// Runs at Threads=1 are deterministic, so a dirty reused arena and a clean
+// one must agree exactly.
 func sameResult(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.NumCommunities != b.NumCommunities {
@@ -42,10 +44,32 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// sameAsOracle fails unless the engine result got reproduces the independent
+// sequential oracle's partition and quality.
+func sameAsOracle(t *testing.T, label string, want *seq.Result, got *Result) {
+	t.Helper()
+	if got.NumCommunities != want.NumCommunities {
+		t.Fatalf("%s: engine %d communities, oracle %d", label, got.NumCommunities, want.NumCommunities)
+	}
+	for v := range want.CommunityOf {
+		if got.CommunityOf[v] != want.CommunityOf[v] {
+			t.Fatalf("%s: vertex %d: engine %d, oracle %d", label, v, got.CommunityOf[v], want.CommunityOf[v])
+		}
+	}
+	if math.Abs(got.FinalModularity-want.Modularity) > 1e-9 {
+		t.Fatalf("%s: modularity engine %v, oracle %v", label, got.FinalModularity, want.Modularity)
+	}
+	if math.Abs(got.FinalCoverage-want.FinalCoverage) > 1e-9 {
+		t.Fatalf("%s: coverage engine %v, oracle %v", label, got.FinalCoverage, want.FinalCoverage)
+	}
+}
+
 // TestArenaMatchesFresh runs a shared arena through a shrink-then-grow
 // sequence of graphs and kernel combinations and checks every result against
-// a fresh-allocation (NoScratch) run of the same options. Dirty reused
-// buffers must never leak into results.
+// a run of the same options on a clean arena. Dirty reused buffers must
+// never leak into results. A clean arena shares any stale reuse within one
+// run with the dirty one, so the variants the sequential oracle supports are
+// also checked against seq.Detect.
 func TestArenaMatchesFresh(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -59,12 +83,13 @@ func TestArenaMatchesFresh(t *testing.T) {
 	optVariants := []struct {
 		name string
 		opt  Options
+		sopt *seq.Options // nil: the oracle does not support the variant
 	}{
-		{"default", Options{}},
-		{"edgesweep-noncontig", Options{Matching: MatchEdgeSweep, Contraction: ContractBucketNonContiguous}},
-		{"sizecap", Options{MaxCommunitySize: 8}},
-		{"coverage", Options{MinCoverage: 0.5}},
-		{"discardlevels", Options{DiscardLevels: true}},
+		{"default", Options{}, &seq.Options{}},
+		{"edgesweep-noncontig", Options{Matching: MatchEdgeSweep, Contraction: ContractBucketNonContiguous}, nil},
+		{"sizecap", Options{MaxCommunitySize: 8}, nil},
+		{"coverage", Options{MinCoverage: 0.5}, &seq.Options{MinCoverage: 0.5}},
+		{"discardlevels", Options{DiscardLevels: true}, &seq.Options{}},
 	}
 	s := NewScratch()
 	for _, ov := range optVariants {
@@ -73,17 +98,18 @@ func TestArenaMatchesFresh(t *testing.T) {
 			opt.Threads = 1
 			opt.Validate = true
 
-			fresh := opt
-			fresh.NoScratch = true
-			want, err := Detect(tg.g, fresh)
+			want, err := DetectWith(tg.g, opt, NewScratch())
 			if err != nil {
-				t.Fatalf("%s/%s fresh: %v", ov.name, tg.name, err)
+				t.Fatalf("%s/%s clean arena: %v", ov.name, tg.name, err)
 			}
 			got, err := DetectWith(tg.g, opt, s)
 			if err != nil {
 				t.Fatalf("%s/%s arena: %v", ov.name, tg.name, err)
 			}
 			sameResult(t, ov.name+"/"+tg.name, want, got)
+			if ov.sopt != nil {
+				sameAsOracle(t, ov.name+"/"+tg.name+" vs seq", seq.Detect(tg.g, *ov.sopt), got)
+			}
 		}
 	}
 }
@@ -189,33 +215,5 @@ func TestSteadyStatePhasesAllocateNothing(t *testing.T) {
 	// boxing — a handful, not O(phases) or O(n).
 	if short > 12 {
 		t.Fatalf("warm 1-phase run allocates %.1f times, want a small constant", short)
-	}
-}
-
-// TestArenaAllocsShrinkVsFresh quantifies the point of the arena: a warm
-// arena run must allocate far fewer times than the fresh-allocation mode on
-// a multi-phase graph.
-func TestArenaAllocsShrinkVsFresh(t *testing.T) {
-	g := gen.CliqueChain(64, 8)
-	opt := Options{Threads: 1, DiscardLevels: true}
-	s := NewScratch()
-	if _, err := DetectWith(g, opt, s); err != nil {
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(5, func() {
-		if _, err := DetectWith(g, opt, s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	freshOpt := opt
-	freshOpt.NoScratch = true
-	fresh := testing.AllocsPerRun(5, func() {
-		if _, err := Detect(g, freshOpt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if fresh < 10*warm {
-		t.Fatalf("arena run allocates %.1f times vs %.1f fresh — want at least 10x reduction",
-			warm, fresh)
 	}
 }

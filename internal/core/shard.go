@@ -384,11 +384,7 @@ func detectShard(ctx context.Context, c *graph.CSR, lo, hi int64, k, threads int
 	}
 	ec := exec.Acquire(ctx, threads, nil)
 	defer ec.Release()
-	var scratch *Scratch
-	if !dopt.NoScratch {
-		scratch = NewScratch()
-	}
-	res, err := detect(ec, sg, dopt, scratch, nil)
+	res, err := detect(ec, sg, dopt, NewScratch(), nil)
 	if err != nil {
 		out.err = err
 		return out

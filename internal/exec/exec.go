@@ -67,10 +67,6 @@ type Ctx struct {
 	// shared process-wide and therefore reject SetPartition.
 	part      *par.Partition
 	immutable bool
-	// dynOnly disables static balanced scheduling: Balanced always reports
-	// nil and kernels that build their own schedules consult DynamicOnly to
-	// keep their dynamic-chunking paths. An ablation/measurement switch.
-	dynOnly bool
 }
 
 // maxBackground bounds the cached pool-less contexts handed out by Background.
@@ -184,7 +180,6 @@ func (c *Ctx) Release() {
 	c.ctx = nil
 	c.rec = nil
 	c.part = nil
-	c.dynOnly = false
 	freeMu.Lock()
 	if len(freeCtxs) < maxFree {
 		freeCtxs = append(freeCtxs, c)
@@ -346,22 +341,6 @@ func (c *Ctx) SetPartition(pt *par.Partition) {
 // Partition returns the installed level partition, nil when absent.
 func (c *Ctx) Partition() *par.Partition { return c.part }
 
-// SetDynamicOnly disables (on=true) or restores (on=false) static balanced
-// scheduling on this context: while set, Balanced reports nil and kernels
-// that build private schedules fall back to dynamic chunking wherever the
-// sweep admits it. Contraction's histogram stripes require a static
-// schedule and are unaffected. Like SetPartition, a no-op on the shared
-// Background contexts; Release resets the flag.
-func (c *Ctx) SetDynamicOnly(on bool) {
-	if c.immutable {
-		return
-	}
-	c.dynOnly = on
-}
-
-// DynamicOnly reports whether static balanced scheduling is disabled.
-func (c *Ctx) DynamicOnly() bool { return c.dynOnly }
-
 // Balanced returns the installed partition when it matches a sweep over n
 // bucketed items carrying `edges` total edges and was built for a parallel
 // worker count; otherwise nil and the caller should fall back to dynamic
@@ -370,9 +349,6 @@ func (c *Ctx) DynamicOnly() bool { return c.dynOnly }
 // never misdirect a sweep.
 func (c *Ctx) Balanced(n int, edges int64) *par.Partition {
 	pt := c.part
-	if c.dynOnly {
-		return nil
-	}
 	if pt == nil || pt.Workers() < 2 || pt.Items() != n ||
 		pt.TotalWeight() != edges+int64(n) {
 		return nil

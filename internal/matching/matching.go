@@ -319,13 +319,13 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 		// Phase A: active vertices scan their buckets and raise the
 		// candidate words of both endpoints of every available positive
 		// edge. The pass bodies live in plain functions so the serial path
-		// evaluates no closure literal (a literal handed to ForDynamic
+		// evaluates no closure literal (a literal handed to ForRanges
 		// escapes and heap-allocates even when the loop then runs on one
 		// worker).
-		balanced := !ec.Serial(len(lst)) && !ec.DynamicOnly()
-		if ec.Serial(len(lst)) {
+		serial := ec.Serial(len(lst))
+		if serial {
 			worklistPropose(g, scores, s, lst, tag, 0, len(lst))
-		} else if balanced {
+		} else {
 			// One degree-balanced schedule serves both phases of the pass,
 			// so a worker revisits in phase B the vertices it proposed for
 			// in phase A with their candidate words still warm.
@@ -333,23 +333,15 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 			ec.ForRanges("match/propose", &s.part, func(lo, hi int) {
 				worklistPropose(g, scores, s, lst, tag, lo, hi)
 			})
-		} else {
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				worklistPropose(g, scores, s, lst, tag, lo, hi)
-			})
 		}
 		// Phase B: claim mutual best edges; compact the worklist. The keep
 		// flags live in reused scratch, so every entry is written rather
 		// than relying on a fresh zeroed allocation.
 		keep := keepFlags[:len(lst)]
-		if ec.Serial(len(lst)) {
+		if serial {
 			worklistClaim(g, s, lst, keep, tag, hot, 0, len(lst))
-		} else if balanced {
-			ec.ForRanges("match/claim", &s.part, func(lo, hi int) {
-				worklistClaim(g, s, lst, keep, tag, hot, lo, hi)
-			})
 		} else {
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
+			ec.ForRanges("match/claim", &s.part, func(lo, hi int) {
 				worklistClaim(g, s, lst, keep, tag, hot, lo, hi)
 			})
 		}

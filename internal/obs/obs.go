@@ -19,8 +19,8 @@
 //
 // Three sinks consume a Recorder: Export (structured per-phase profile
 // attached to internal/report JSON), WriteTrace (Chrome trace_event JSON for
-// chrome://tracing or Perfetto), and the expvar-based live HTTP endpoint in
-// expvar.go.
+// chrome://tracing or Perfetto), and the live HTTP endpoint in live.go
+// (Prometheus text on /metrics/prom, see prom.go).
 package obs
 
 import (
@@ -134,7 +134,7 @@ type regionStats struct {
 // Recorder collects one run's (or one sweep's) observability data. The zero
 // value is NOT ready: use New. A nil *Recorder is the disabled recorder —
 // every method no-ops. A Recorder must not be shared by concurrent detection
-// runs; the HTTP/expvar snapshot may read it concurrently with a run (all
+// runs; the live HTTP scrape may read it concurrently with a run (all
 // shared state is mutex-guarded or flushed at region boundaries).
 type Recorder struct {
 	t0      time.Time

@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,7 +224,7 @@ func TestMetricsHandler(t *testing.T) {
 	// effect): the index and the named profiles it dispatches must serve.
 	// The CPU endpoint is exercised with ?seconds= elsewhere; fetching it
 	// here would block for its default 30s window.
-	for _, path := range []string{"/metrics", "/debug/vars", "/healthz",
+	for _, path := range []string{"/metrics/prom", "/convergence", "/healthz",
 		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -234,29 +236,33 @@ func TestMetricsHandler(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	// The live recorder's counters reach the Prometheus scrape.
+	resp, err := srv.Client().Get(srv.URL + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var p Profile
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatalf("metrics not valid JSON: %v", err)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Phases != 2 || p.Counters["match_rounds"] != 4 {
-		t.Fatalf("snapshot = %+v", p)
+	for _, want := range []string{"community_detect_phases 2\n",
+		`community_engine_events_total{counter="match_rounds"} 4` + "\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("scrape missing %q", want)
+		}
 	}
 
 	// Detached endpoint serves an empty object, not a panic.
-	SetLive(nil)
-	resp2, err := srv.Client().Get(srv.URL + "/metrics")
+	SetLiveLedger(nil)
+	resp2, err := srv.Client().Get(srv.URL + "/convergence")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
 	var empty map[string]any
 	if err := json.NewDecoder(resp2.Body).Decode(&empty); err != nil {
-		t.Fatalf("detached metrics not valid JSON: %v", err)
+		t.Fatalf("detached convergence not valid JSON: %v", err)
 	}
 }
 

@@ -241,16 +241,3 @@ func TestRegisterPromReplaces(t *testing.T) {
 		t.Fatal("replacement did not take the latest value")
 	}
 }
-
-// TestSetLivePublishTwice is the double-Publish regression test: expvar
-// panics on duplicate names, so SetLive/SetLiveLedger must register exactly
-// once no matter how many recorders come and go (harness sweeps swap them
-// per run, and Serve calls both on every start).
-func TestSetLivePublishTwice(t *testing.T) {
-	defer SetLive(nil)
-	defer SetLiveLedger(nil)
-	for i := 0; i < 3; i++ {
-		SetLive(New())
-		SetLiveLedger(NewLedger())
-	}
-}

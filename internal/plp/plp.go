@@ -215,10 +215,10 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		// histogram stripe claimed off an atomic cursor (ranges ≤ workers,
 		// and stripe identity cannot affect the outcome — stripes are
 		// scratch restored to zero vertex by vertex).
-		balanced := !ec.Serial(len(lst)) && !ec.DynamicOnly()
-		if ec.Serial(len(lst)) {
+		serial := ec.Serial(len(lst))
+		if serial {
 			computeRange(c, labels, s.pending, spa[:n], lst, 0, len(lst))
-		} else if balanced {
+		} else {
 			rowStart, rowEnd := c.RowBounds()
 			ec.BuildIndexed(&s.part, lst, rowStart, rowEnd)
 			var cursor int64
@@ -227,26 +227,15 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 				j := int(atomic.AddInt64(&cursor, 1)) - 1
 				computeRange(c, labels, s.pending, spa[j*nn:(j+1)*nn], lst, lo, hi)
 			})
-		} else {
-			// Dynamic-chunking ablation path: chunk counts exceed the stripe
-			// budget, so fall back to a per-chunk map (the refine kernel's
-			// discipline).
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				computeRangeMap(c, labels, s.pending, lst, lo, hi)
-			})
 		}
 
 		// Phase B: commit and scatter activation marks (see the package
 		// comment for the consistency argument).
 		var changed int64
-		if ec.Serial(len(lst)) {
+		if serial {
 			changed = commitRange(c, labels, s.pending, marks, sweep, lst, 0, len(lst))
-		} else if balanced {
-			ec.ForRanges("plp/commit", &s.part, func(lo, hi int) {
-				atomic.AddInt64(&changed, commitRange(c, labels, s.pending, marks, sweep, lst, lo, hi))
-			})
 		} else {
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
+			ec.ForRanges("plp/commit", &s.part, func(lo, hi int) {
 				atomic.AddInt64(&changed, commitRange(c, labels, s.pending, marks, sweep, lst, lo, hi))
 			})
 		}
@@ -306,29 +295,6 @@ func computeRange(c *graph.CSR, labels, pending, w []int64, list []int64, lo, hi
 			w[labels[u]] = 0
 		}
 		w[cur] = 0
-		pending[v] = best
-	}
-}
-
-// computeRangeMap is computeRange with a per-call map instead of a stripe,
-// for the dynamic-chunking path where chunks outnumber stripes.
-func computeRangeMap(c *graph.CSR, labels, pending []int64, list []int64, lo, hi int) {
-	w := make(map[int64]int64)
-	for i := lo; i < hi; i++ {
-		v := list[i]
-		cur := labels[v]
-		adj, wgt := c.Neighbors(v)
-		clear(w)
-		w[cur] = c.Self[v]
-		best, bestW := cur, w[cur]
-		for j, u := range adj {
-			l := labels[u]
-			nw := w[l] + wgt[j]
-			w[l] = nw
-			if nw > bestW || (nw == bestW && l < best) {
-				best, bestW = l, nw
-			}
-		}
 		pending[v] = best
 	}
 }

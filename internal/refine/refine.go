@@ -98,7 +98,7 @@ func RefineExec(ec *exec.Ctx, g *graph.Graph, comm []int64, k int64, opt Options
 	// every sweep the same vertex-aligned ranges. Ranges, not spans — the
 	// neighbor scan is per-vertex state, so a vertex must not be split.
 	var pt par.Partition
-	balanced := !ec.Serial(int(n)) && !ec.DynamicOnly()
+	balanced := !ec.Serial(int(n))
 	if balanced {
 		rowStart, rowEnd := csr.RowBounds()
 		ec.BuildBuckets(&pt, int(n), rowStart, rowEnd)
